@@ -86,12 +86,16 @@ std::size_t Mailbox::pop_batch(std::vector<Message>& out, std::size_t max) {
 
   // FIFO rule 2: overflow messages come out only once the ring is fully
   // drained (head == tail and nothing half-published), so every ring entry
-  // that predates the overflow is already delivered.
-  if (overflow_nonempty_.load(std::memory_order_acquire) &&
-      head_.load(std::memory_order_acquire) == pos) {
+  // that predates the overflow is already delivered. The head comparison
+  // must happen under the overflow lock: checked before it, a producer
+  // with a stale "overflow empty" view could claim a ring slot after the
+  // check and push its next message to the overflow before the swap, and
+  // that later message would then be delivered first.
+  if (overflow_nonempty_.load(std::memory_order_acquire)) {
     std::deque<Message> batch;
     {
       std::lock_guard<std::mutex> lock(overflow_mutex_);
+      if (head_.load(std::memory_order_acquire) != pos) return n;
       batch.swap(overflow_);
       overflow_count_.fetch_sub(batch.size(), std::memory_order_relaxed);
       overflow_nonempty_.store(false, std::memory_order_release);

@@ -38,7 +38,10 @@ img::NativeFn native_of(const FuncHandle& handle, const RankContext& rc);
 ///   auto* fn = fn_as<int(int, int)>(handle, rc);
 template <typename Sig>
 Sig* fn_as(const FuncHandle& handle, const RankContext& rc) {
-  return reinterpret_cast<Sig*>(native_of(handle, rc));
+  // Via the generic function-pointer type: NativeFn is only the erased
+  // storage type, never the real signature.
+  return reinterpret_cast<Sig*>(
+      reinterpret_cast<void (*)()>(native_of(handle, rc)));
 }
 
 }  // namespace apv::core

@@ -20,6 +20,16 @@ inline constexpr std::uint32_t kInvalidId = ~std::uint32_t{0};
 /// core::Runtime::call_function which casts per use.
 using NativeFn = void* (*)(void* arg);
 
+/// Type-erases any function pointer into a NativeFn, e.g. a reduction
+/// operator registered as an image function. The detour through
+/// `void (*)()`, the generic function-pointer type, keeps the cast free of
+/// signature-mismatch warnings; callers cast back to the real signature
+/// before calling.
+template <typename R, typename... Args>
+NativeFn erase_fn(R (*fn)(Args...)) {
+  return reinterpret_cast<NativeFn>(reinterpret_cast<void (*)()>(fn));
+}
+
 class ImageInstance;
 
 /// Static-constructor body. Runs once per *loaded instance* (the dynamic

@@ -75,12 +75,6 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
       std::max<std::int64_t>(0, config_.options.get_int("ft.max_chain", 0))));
   inline_enabled_ = config_.options.get_string("comm.inline", "on") == "on";
   coll_hier_ = config_.options.get_string("coll.algo", "hier") == "hier";
-  rab_cutoff_ = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config_.options.get_int("coll.rab_cutoff", 32768)));
-  // Vector-collective leader-phase transfer granularity; 0 would mean
-  // "never eager", which no algorithm wants — clamp to at least one byte.
-  vec_cutoff_ = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, config_.options.get_int("coll.vec_cutoff", 32768)));
   // Runtime correctness checker (src/check). An explicit check.mode option
   // wins; otherwise the APV_CHECK_MODE environment variable applies, so CI
   // can arm the checker across a whole test run without editing each job.
@@ -1037,7 +1031,7 @@ void Runtime::coll_send_vec(RankMpi& rm, int dst_world, int tag,
   const auto* p = static_cast<const std::byte*>(data);
   std::size_t off = 0;
   do {
-    const std::size_t len = std::min(bytes - off, vec_cutoff_);
+    const std::size_t len = std::min(bytes - off, kVecCutoff);
     ++ps.coll_leader_msgs;
     coll_send_staged(rm, dst_world, tag, p + off, len, comm);
     off += len;
@@ -1046,12 +1040,12 @@ void Runtime::coll_send_vec(RankMpi& rm, int dst_world, int tag,
 
 void Runtime::coll_recv_vec(RankMpi& rm, int src_world, int tag, void* data,
                             std::size_t bytes, CommId comm) {
-  // Chunk boundaries mirror coll_send_vec exactly (vec_cutoff is a shared
-  // option value); per-sender FIFO keeps same-tag chunks in order.
+  // Chunk boundaries mirror coll_send_vec exactly (both cut at kVecCutoff);
+  // per-sender FIFO keeps same-tag chunks in order.
   auto* p = static_cast<std::byte*>(data);
   std::size_t off = 0;
   do {
-    const std::size_t len = std::min(bytes - off, vec_cutoff_);
+    const std::size_t len = std::min(bytes - off, kVecCutoff);
     coll_recv(rm, src_world, tag, p + off, len, comm);
     off += len;
   } while (off < bytes);

@@ -138,9 +138,25 @@ class Runtime {
                        CommId comm, std::uint32_t seq, int root, int opkind,
                        std::uint32_t esize, std::uint64_t bytes, int expected);
 
-  /// Group-block registry for hierarchical collectives; defined in
-  /// collectives_hier.cpp. Public only so that file's helpers can name it.
+  /// Group-block registry for hierarchical collectives, one call's view of
+  /// the grouping, and the member-phase skeleton every hierarchical op runs
+  /// on; defined in collectives_hier.cpp. Public only so that file's
+  /// helpers can name them.
   struct CollHierState;
+  struct HierCall;
+  class HierPhase;
+
+  /// Hierarchical reduce/allreduce/bcast payloads at or above this many
+  /// bytes take the bandwidth-shaped leader algorithms (binomial trees,
+  /// Rabenseifner) instead of the shared leader rendezvous and recursive
+  /// doubling.
+  static constexpr std::size_t kRabCutoff = 32768;
+  /// Vector collectives: leader transfers up to this many bytes go eager in
+  /// one message (rooted trees and Bruck stay latency-shaped); above it
+  /// they are chunked into cutoff-sized staged payloads and the
+  /// bandwidth-shaped algorithms (direct sends, ring) take over. A single
+  /// contribution above it falls back to the flat path (copy-bound).
+  static constexpr std::size_t kVecCutoff = 32768;
 
   /// Applies a (possibly user-defined) reduction operator "on a PE" the way
   /// AMPI's message combining does: through the code copy of some rank
@@ -171,10 +187,10 @@ class Runtime {
   /// the cross-process path. Everywhere else it degenerates to coll_send.
   void coll_send_staged(RankMpi& rm, int dst_world, int tag, const void* data,
                         std::size_t bytes, CommId comm);
-  /// Leader-phase vector transfer: one eager message up to coll.vec_cutoff,
-  /// chunked into vec_cutoff-sized staged payloads above it (bounds peak
+  /// Leader-phase vector transfer: one eager message up to kVecCutoff,
+  /// chunked into kVecCutoff-sized staged payloads above it (bounds peak
   /// arena/pool block size; both sides derive identical chunk boundaries
-  /// from the shared option value).
+  /// from the constant).
   void coll_send_vec(RankMpi& rm, int dst_world, int tag, const void* data,
                      std::size_t bytes, CommId comm);
   void coll_recv_vec(RankMpi& rm, int src_world, int tag, void* data,
@@ -400,13 +416,6 @@ class Runtime {
 
   bool inline_enabled_ = true;  ///< comm.inline: same-PE inline delivery
   bool coll_hier_ = true;       ///< coll.algo: "hier" (default) or "naive"
-  std::size_t rab_cutoff_ = 32768;  ///< coll.rab_cutoff: Rabenseifner floor
-  /// coll.vec_cutoff: vector-collective leader transfers up to this many
-  /// bytes go eager in one message (and rooted trees/Bruck stay
-  /// latency-shaped); above it transfers are chunked into cutoff-sized
-  /// staged payloads and the bandwidth-shaped algorithms (direct sends,
-  /// ring) take over.
-  std::size_t vec_cutoff_ = 32768;
   /// Group-block registry instance (shared_ptr: the deleter is type-erased
   /// in collectives_hier.cpp, so the type can stay incomplete here).
   std::shared_ptr<CollHierState> hier_;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -198,7 +199,10 @@ TEST(Mailbox, OverflowPreservesFifo) {
 
 namespace {
 
-void run_mpsc_stress(Mailbox::Mode mode) {
+// One producer/consumer round. Returns the first FIFO or payload violation
+// ("" when clean); never asserts while producers run, so a failure cannot
+// leave threads unjoined.
+std::string mpsc_round(Mailbox::Mode mode) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 4000;
   Mailbox::Config cfg;
@@ -218,6 +222,10 @@ void run_mpsc_stress(Mailbox::Mode mode) {
     });
   }
 
+  std::string bad;
+  const auto fail = [&bad](const std::string& what) {
+    if (bad.empty()) bad = what;
+  };
   std::map<int, std::uint64_t> next_seq;
   std::size_t total = 0;
   std::vector<Message> out;
@@ -230,22 +238,37 @@ void run_mpsc_stress(Mailbox::Mode mode) {
     for (Message& m : out) {
       // FIFO per sender: each producer's sequence arrives in order.
       auto [it, inserted] = next_seq.try_emplace(m.src_pe, 0);
-      ASSERT_EQ(m.seq, it->second)
-          << "producer " << m.src_pe << " reordered";
-      ++it->second;
+      if (m.seq != it->second)
+        fail("producer " + std::to_string(m.src_pe) + " reordered: got " +
+             std::to_string(m.seq) + ", expected " +
+             std::to_string(it->second));
+      it->second = m.seq + 1;
       const std::size_t bytes = m.payload.size();
-      if (bytes > 0) {
-        EXPECT_EQ(m.payload.data()[0], static_cast<std::byte>(m.seq));
-        EXPECT_EQ(m.payload.data()[bytes - 1],
-                  static_cast<std::byte>(m.seq >> 8));
-      }
+      if (bytes > 0 &&
+          (m.payload.data()[0] != static_cast<std::byte>(m.seq) ||
+           m.payload.data()[bytes - 1] !=
+               static_cast<std::byte>(m.seq >> 8)))
+        fail("payload of seq " + std::to_string(m.seq) + " corrupted");
       ++total;
     }
   }
   for (auto& t : producers) t.join();
-  EXPECT_TRUE(mb.empty());
-  for (const auto& [p, n] : next_seq)
-    EXPECT_EQ(n, static_cast<std::uint64_t>(kPerProducer)) << "producer " << p;
+  if (!mb.empty()) fail("mailbox not empty after the drain");
+  for (const auto& [p, n] : next_seq) {
+    if (n != static_cast<std::uint64_t>(kPerProducer))
+      fail("producer " + std::to_string(p) + " ended at " + std::to_string(n));
+  }
+  return bad;
+}
+
+// A reorder needs a producer to be preempted inside a few-instruction
+// window, so one round rarely shows it: repeat (~30 ms per round).
+void run_mpsc_stress(Mailbox::Mode mode) {
+  constexpr int kRounds = 50;
+  for (int r = 0; r < kRounds; ++r) {
+    const std::string bad = mpsc_round(mode);
+    ASSERT_TRUE(bad.empty()) << "round " << r << ": " << bad;
+  }
 }
 
 }  // namespace

@@ -582,7 +582,9 @@ TEST(CheckpointStore, ConsolidationFoldsOldestDeltaIntoBase) {
   EXPECT_EQ(store.chain_length(0, 3), 1u);
   EXPECT_FALSE(store.has(0, 1));
   for (const auto& m : store.copies(0)) {
-    if (m.epoch == 2) EXPECT_FALSE(m.is_delta) << "epoch 2 was not folded";
+    if (m.epoch == 2) {
+      EXPECT_FALSE(m.is_delta) << "epoch 2 was not folded";
+    }
   }
 
   const std::vector<unsigned char> expect = rig.snapshot_prefix();

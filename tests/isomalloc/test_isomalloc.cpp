@@ -240,7 +240,9 @@ TEST_P(SlotHeapFuzz, RandomAllocFreeKeepsIntegrity) {
       heap->free(it->first);
       live.erase(it);
     }
-    if (step % 250 == 0) ASSERT_TRUE(heap->check_integrity());
+    if (step % 250 == 0) {
+      ASSERT_TRUE(heap->check_integrity());
+    }
   }
   ASSERT_TRUE(heap->check_integrity());
   for (auto& [p, shadow] : live) {

@@ -1,11 +1,16 @@
 // Hierarchical-collective correctness sweep: barrier / bcast / reduce /
 // allreduce / scan, commutative (builtin Sum) and non-commutative
-// (associative affine-map user op), at 1 / 4 / 16 ranks per PE, with the
-// coll.algo=naive escape hatch cross-checked against coll.algo=hier.
+// (associative affine-map user op), at 1 / 4 / 16 ranks per PE on 4 PEs and
+// 2 ranks per PE on 12 PEs (more leaders than the shared leader rendezvous
+// takes, and not a power of two), with the coll.algo=naive escape hatch
+// cross-checked against coll.algo=hier. A schedule test pins every hier
+// op's counter deltas.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,6 +31,16 @@ namespace {
 // any particular bracketing.
 constexpr int affine_p(int i) { return i % 8 == 0 ? 2 : 1; }
 constexpr int affine_q(int i) { return i + 1; }
+
+// The affine-map composition as a reduction operator over (p, q) pairs.
+void affine_combine(const void* in, void* inout, int len, Datatype) {
+  const int* a = static_cast<const int*>(in);
+  int* b = static_cast<int*>(inout);
+  for (int i = 0; i + 1 < len; i += 2) {
+    b[i + 1] = a[i] * b[i + 1] + a[i + 1];
+    b[i] = a[i] * b[i];
+  }
+}
 
 void affine_fold(int lo, int hi, int* ep, int* eq) {
   *ep = 1;
@@ -75,7 +90,8 @@ void* sweep_main(void* arg) {
     }
   }
 
-  // Commutative allreduce, small (recursive doubling among leaders).
+  // Commutative allreduce, small (shared leader rendezvous up to eight
+  // leaders, recursive doubling above).
   {
     int v[2] = {me + 1, me * me};
     int out[2] = {0, 0};
@@ -144,9 +160,32 @@ void* sweep_main(void* arg) {
 }
 
 struct HierCase {
+  int pes;
   int ranks_per_pe;
   bool hier;
 };
+
+std::string case_name(const ::testing::TestParamInfo<HierCase>& info) {
+  const HierCase& c = info.param;
+  return (c.pes == 4 ? std::string() : "pe" + std::to_string(c.pes) + "_") +
+         "rpp" + std::to_string(c.ranks_per_pe) + (c.hier ? "_hier" : "_naive");
+}
+
+mpi::RuntimeConfig case_config(const HierCase& c) {
+  mpi::RuntimeConfig cfg;
+  cfg.nodes = 1;
+  cfg.pes_per_node = c.pes;
+  cfg.vps = c.ranks_per_pe * c.pes;
+  cfg.method = core::Method::PIEglobals;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  cfg.options.set("coll.algo", c.hier ? "hier" : "naive");
+  return cfg;
+}
+
+const auto kShapes = ::testing::Values(
+    HierCase{4, 1, true}, HierCase{4, 1, false}, HierCase{4, 4, true},
+    HierCase{4, 4, false}, HierCase{4, 16, true}, HierCase{4, 16, false},
+    HierCase{12, 2, true}, HierCase{12, 2, false});
 
 }  // namespace
 
@@ -154,30 +193,12 @@ class HierSweep : public ::testing::TestWithParam<HierCase> {};
 
 TEST_P(HierSweep, AllCollectivesAgree) {
   const HierCase c = GetParam();
-  const int pes = 4;
   img::ImageBuilder b("hiersweep");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", &sweep_main);
-  b.add_function("user_combine", reinterpret_cast<img::NativeFn>(
-                                     +[](const void* in, void* inout,
-                                         int len, Datatype) {
-                                       const int* a =
-                                           static_cast<const int*>(in);
-                                       int* b2 = static_cast<int*>(inout);
-                                       for (int i = 0; i + 1 < len; i += 2) {
-                                         b2[i + 1] =
-                                             a[i] * b2[i + 1] + a[i + 1];
-                                         b2[i] = a[i] * b2[i];
-                                       }
-                                     }));
+  b.add_function("user_combine", img::erase_fn(&affine_combine));
   const img::ProgramImage image = b.build();
-  mpi::RuntimeConfig cfg;
-  cfg.nodes = 1;
-  cfg.pes_per_node = pes;
-  cfg.vps = c.ranks_per_pe * pes;
-  cfg.method = core::Method::PIEglobals;
-  cfg.slot_bytes = std::size_t{8} << 20;
-  cfg.options.set("coll.algo", c.hier ? "hier" : "naive");
+  const mpi::RuntimeConfig cfg = case_config(c);
   mpi::Runtime rt(image, cfg);
   rt.run();
   for (int r = 0; r < cfg.vps; ++r) {
@@ -187,28 +208,23 @@ TEST_P(HierSweep, AllCollectivesAgree) {
   const util::Counters lc = rt.locality_counters();
   if (c.hier) {
     EXPECT_GT(lc.get("coll_leader_msgs"), 0u);
-    if (c.ranks_per_pe > 1) EXPECT_GT(lc.get("coll_local_combines"), 0u);
+    if (c.ranks_per_pe > 1) {
+      EXPECT_GT(lc.get("coll_local_combines"), 0u);
+    }
   } else {
     EXPECT_EQ(lc.get("coll_leader_msgs"), 0u);
     EXPECT_EQ(lc.get("coll_local_combines"), 0u);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, HierSweep,
-    ::testing::Values(HierCase{1, true}, HierCase{1, false},
-                      HierCase{4, true}, HierCase{4, false},
-                      HierCase{16, true}, HierCase{16, false}),
-    [](const ::testing::TestParamInfo<HierCase>& info) {
-      return std::string("rpp") + std::to_string(info.param.ranks_per_pe) +
-             (info.param.hier ? "_hier" : "_naive");
-    });
+INSTANTIATE_TEST_SUITE_P(Shapes, HierSweep, kShapes, case_name);
 
 // ---------------------------------------------------------------------------
 // Vector collectives: gather/gatherv/scatter/scatterv/allgather/alltoall,
 // hier vs naive bit-identity across root positions, non-uniform counts, and
 // a comm_split subset. Small counts take the eager leader phase, kVecBig
-// crosses coll.vec_cutoff into the chunked one.
+// crosses the 32 KiB vector cutoff (Runtime::kVecCutoff) into the chunked
+// one.
 
 namespace {
 
@@ -417,18 +433,11 @@ class VectorSweep : public ::testing::TestWithParam<HierCase> {};
 
 TEST_P(VectorSweep, AllVectorCollectivesAgree) {
   const HierCase c = GetParam();
-  const int pes = 4;
   img::ImageBuilder b("vecsweep");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", &vector_main);
   const img::ProgramImage image = b.build();
-  mpi::RuntimeConfig cfg;
-  cfg.nodes = 1;
-  cfg.pes_per_node = pes;
-  cfg.vps = c.ranks_per_pe * pes;
-  cfg.method = core::Method::PIEglobals;
-  cfg.slot_bytes = std::size_t{8} << 20;
-  cfg.options.set("coll.algo", c.hier ? "hier" : "naive");
+  const mpi::RuntimeConfig cfg = case_config(c);
   mpi::Runtime rt(image, cfg);
   rt.run();
   for (int r = 0; r < cfg.vps; ++r) {
@@ -446,15 +455,247 @@ TEST_P(VectorSweep, AllVectorCollectivesAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, VectorSweep,
-    ::testing::Values(HierCase{1, true}, HierCase{1, false},
-                      HierCase{4, true}, HierCase{4, false},
-                      HierCase{16, true}, HierCase{16, false}),
-    [](const ::testing::TestParamInfo<HierCase>& info) {
-      return std::string("rpp") + std::to_string(info.param.ranks_per_pe) +
-             (info.param.hier ? "_hier" : "_naive");
-    });
+INSTANTIATE_TEST_SUITE_P(Shapes, VectorSweep, kShapes, case_name);
+
+// ---------------------------------------------------------------------------
+// Schedule pinning: each hier op, alone in a job, must produce exactly the
+// recorded deltas of the four collective counters (leader messages, shared
+// leader rendezvous, in-block combines, bytes through vector blocks). They
+// are the message schedule in numbers, so a change to any leader algorithm,
+// its selection predicate or the member phase shows up here, per op.
+
+namespace {
+
+constexpr int kSchedBig = 16384;  // 64 KiB of ints: above both cutoffs
+constexpr int kSchedVec = 1536;   // 6 KiB blocks: world totals above 32 KiB
+
+struct ScheduleOp {
+  const char* name;
+  void (*body)(Env*);
+};
+
+// v-variant counts: rank i moves i%3+1 ints.
+void v_layout(int n, std::vector<int>& counts, std::vector<int>& displs) {
+  counts.resize(static_cast<std::size_t>(n));
+  displs.resize(static_cast<std::size_t>(n));
+  int off = 0;
+  for (int r = 0; r < n; ++r) {
+    counts[static_cast<std::size_t>(r)] = r % 3 + 1;
+    displs[static_cast<std::size_t>(r)] = off;
+    off += r % 3 + 1;
+  }
+}
+
+void sched_reduce(Env* e, int count, int root) {
+  std::vector<int> v(static_cast<std::size_t>(count), e->rank());
+  std::vector<int> out(static_cast<std::size_t>(count));
+  e->reduce(v.data(), out.data(), count, Datatype::Int,
+            Op::builtin(OpKind::Sum), root);
+}
+
+void sched_allreduce(Env* e, int count) {
+  std::vector<int> v(static_cast<std::size_t>(count), e->rank());
+  std::vector<int> out(static_cast<std::size_t>(count));
+  e->allreduce(v.data(), out.data(), count, Datatype::Int,
+               Op::builtin(OpKind::Sum));
+}
+
+void sched_gather(Env* e, int count, int root) {
+  std::vector<int> v(static_cast<std::size_t>(count), e->rank());
+  std::vector<int> out(static_cast<std::size_t>(e->size()) * count);
+  e->gather(v.data(), count, Datatype::Int, out.data(), count, Datatype::Int,
+            root);
+}
+
+void sched_scatter(Env* e, int count, int root) {
+  std::vector<int> v(static_cast<std::size_t>(e->size()) * count, 1);
+  std::vector<int> out(static_cast<std::size_t>(count));
+  e->scatter(v.data(), count, Datatype::Int, out.data(), count, Datatype::Int,
+             root);
+}
+
+void sched_allgather(Env* e, int count) {
+  std::vector<int> v(static_cast<std::size_t>(count), e->rank());
+  std::vector<int> out(static_cast<std::size_t>(e->size()) * count);
+  e->allgather(v.data(), count, Datatype::Int, out.data(), count,
+               Datatype::Int);
+}
+
+void sched_alltoall(Env* e, int count) {
+  std::vector<int> v(static_cast<std::size_t>(e->size()) * count, e->rank());
+  std::vector<int> out(v.size());
+  e->alltoall(v.data(), count, Datatype::Int, out.data(), count,
+              Datatype::Int);
+}
+
+const ScheduleOp kScheduleOps[] = {
+    {"barrier", [](Env* e) { e->barrier(); }},
+    {"bcast_small",
+     [](Env* e) {
+       long p[3] = {1, 2, 3};
+       e->bcast(p, 3, Datatype::Long, e->size() / 2);
+     }},
+    {"bcast_large",
+     [](Env* e) {
+       std::vector<int> v(kSchedBig, 7);
+       e->bcast(v.data(), kSchedBig, Datatype::Int, e->size() - 1);
+     }},
+    {"reduce_small", [](Env* e) { sched_reduce(e, 4, e->size() - 1); }},
+    {"reduce_large", [](Env* e) { sched_reduce(e, kSchedBig, e->size() / 2); }},
+    {"reduce_noncomm",
+     [](Env* e) {
+       int v[2] = {affine_p(e->rank()), affine_q(e->rank())};
+       int out[2];
+       e->reduce(v, out, 2, Datatype::Int, e->op_create("user_combine", false),
+                 (2 * e->size()) / 3);
+     }},
+    {"allreduce_small", [](Env* e) { sched_allreduce(e, 2); }},
+    {"allreduce_large", [](Env* e) { sched_allreduce(e, kSchedBig); }},
+    {"allreduce_noncomm",
+     [](Env* e) {
+       int v[2] = {affine_p(e->rank()), affine_q(e->rank())};
+       int out[2];
+       e->allreduce(v, out, 2, Datatype::Int,
+                    e->op_create("user_combine", false));
+     }},
+    {"scan",
+     [](Env* e) {
+       int v = e->rank() + 1, out = 0;
+       e->scan(&v, &out, 1, Datatype::Int, Op::builtin(OpKind::Sum));
+     }},
+    {"gather_small", [](Env* e) { sched_gather(e, 2, e->size() / 2); }},
+    {"gather_large", [](Env* e) { sched_gather(e, kSchedVec, e->size() - 1); }},
+    {"gatherv",
+     [](Env* e) {
+       const int n = e->size(), me = e->rank(), root = n - 1;
+       std::vector<int> v(static_cast<std::size_t>(me % 3 + 1), me);
+       std::vector<int> counts, displs, out(static_cast<std::size_t>(3 * n));
+       v_layout(n, counts, displs);
+       e->gatherv(v.data(), me % 3 + 1, Datatype::Int, out.data(),
+                  counts.data(), displs.data(), Datatype::Int, root);
+     }},
+    {"scatter_small", [](Env* e) { sched_scatter(e, 3, e->size() - 1); }},
+    {"scatter_large", [](Env* e) { sched_scatter(e, kSchedVec, 0); }},
+    {"scatterv",
+     [](Env* e) {
+       const int n = e->size(), me = e->rank();
+       std::vector<int> counts, displs, v(static_cast<std::size_t>(3 * n), 1);
+       v_layout(n, counts, displs);
+       std::vector<int> out(static_cast<std::size_t>(me % 3 + 1));
+       e->scatterv(v.data(), counts.data(), displs.data(), Datatype::Int,
+                   out.data(), me % 3 + 1, Datatype::Int, n / 2);
+     }},
+    {"allgather_small", [](Env* e) { sched_allgather(e, 2); }},
+    {"allgather_large", [](Env* e) { sched_allgather(e, kSchedVec); }},
+    {"alltoall_small", [](Env* e) { sched_alltoall(e, 2); }},
+    {"alltoall_mid", [](Env* e) { sched_alltoall(e, 64); }},
+};
+
+// The op the next job runs (nullptr: none). Set before the Runtime starts
+// its PE threads and only read by them.
+const ScheduleOp* g_sched_op = nullptr;
+
+void* schedule_main(void* arg) {
+  if (g_sched_op != nullptr) g_sched_op->body(static_cast<Env*>(arg));
+  return nullptr;
+}
+
+struct ScheduleCounts {
+  std::uint64_t leader_msgs, shared_rendezvous, local_combines, vec_bytes;
+  bool operator==(const ScheduleCounts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ScheduleCounts& c) {
+  return os << "{" << c.leader_msgs << ", " << c.shared_rendezvous << ", "
+            << c.local_combines << ", " << c.vec_bytes << "}";
+}
+
+ScheduleCounts run_schedule(int pes, int rpp, const ScheduleOp* op) {
+  g_sched_op = op;
+  img::ImageBuilder b("schedule");
+  b.add_global<int>("unused", 0);
+  b.add_function("mpi_main", &schedule_main);
+  b.add_function("user_combine", img::erase_fn(&affine_combine));
+  const img::ProgramImage image = b.build();
+  mpi::Runtime rt(image, case_config(HierCase{pes, rpp, true}));
+  rt.run();
+  const util::Counters lc = rt.locality_counters();
+  return {lc.get("coll_leader_msgs"), lc.get("coll_shared_rendezvous"),
+          lc.get("coll_local_combines"), lc.get("coll_vec_bytes")};
+}
+
+ScheduleCounts operator-(const ScheduleCounts& a, const ScheduleCounts& b) {
+  return {a.leader_msgs - b.leader_msgs,
+          a.shared_rendezvous - b.shared_rendezvous,
+          a.local_combines - b.local_combines, a.vec_bytes - b.vec_bytes};
+}
+
+// One expected row per kScheduleOps entry, in the same order.
+void check_schedule(int pes, int rpp,
+                    const std::vector<ScheduleCounts>& expected) {
+  ASSERT_EQ(expected.size(), std::size(kScheduleOps));
+  const ScheduleCounts base = run_schedule(pes, rpp, nullptr);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const ScheduleCounts got =
+        run_schedule(pes, rpp, &kScheduleOps[i]) - base;
+    EXPECT_EQ(got, expected[i]) << kScheduleOps[i].name;
+  }
+}
+
+}  // namespace
+
+// 4 leaders (shared leader rendezvous), 4 ranks per PE.
+TEST(HierSchedule, FourPes) {
+  check_schedule(4, 4, {
+      // leader_msgs, shared_rendezvous, local_combines, vec_bytes
+      {0, 4, 0, 0},  // barrier
+      {0, 4, 0, 0},  // bcast_small
+      {3, 0, 0, 0},  // bcast_large
+      {0, 4, 12, 0},  // reduce_small
+      {3, 0, 12, 0},  // reduce_large
+      {4, 0, 12, 0},  // reduce_noncomm
+      {0, 4, 12, 0},  // allreduce_small
+      {16, 0, 12, 0},  // allreduce_large
+      {3, 4, 12, 0},  // allreduce_noncomm
+      {3, 0, 12, 0},  // scan
+      {3, 0, 0, 128},  // gather_small
+      {3, 0, 0, 98304},  // gather_large
+      {6, 0, 0, 124},  // gatherv
+      {3, 0, 0, 288},  // scatter_small
+      {3, 0, 0, 147456},  // scatter_large
+      {6, 0, 0, 192},  // scatterv
+      {8, 0, 0, 128},  // allgather_small
+      {12, 0, 0, 98304},  // allgather_large
+      {12, 0, 0, 2048},  // alltoall_small
+      {12, 0, 0, 65536},  // alltoall_mid
+  });
+}
+
+// 12 leaders (trees, dissemination, recursive doubling), 2 ranks per PE.
+TEST(HierSchedule, TwelvePes) {
+  check_schedule(12, 2, {
+      {48, 0, 0, 0},  // barrier
+      {11, 0, 0, 0},  // bcast_small
+      {11, 0, 0, 0},  // bcast_large
+      {11, 0, 12, 0},  // reduce_small
+      {11, 0, 12, 0},  // reduce_large
+      {12, 0, 12, 0},  // reduce_noncomm
+      {32, 0, 12, 0},  // allreduce_small
+      {56, 0, 12, 0},  // allreduce_large
+      {22, 0, 12, 0},  // allreduce_noncomm
+      {11, 0, 12, 0},  // scan
+      {11, 0, 0, 192},  // gather_small
+      {11, 0, 0, 147456},  // gather_large
+      {22, 0, 0, 192},  // gatherv
+      {11, 0, 0, 288},  // scatter_small
+      {11, 0, 0, 147456},  // scatter_large
+      {22, 0, 0, 192},  // scatterv
+      {48, 0, 0, 192},  // allgather_small
+      {132, 0, 0, 147456},  // allgather_large
+      {132, 0, 0, 4608},  // alltoall_small
+      {132, 0, 0, 147456},  // alltoall_mid
+  });
+}
 
 // ---------------------------------------------------------------------------
 // Mid-collective PE failure: a rank killed between vector collectives must
